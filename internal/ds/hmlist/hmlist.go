@@ -732,14 +732,21 @@ func (l *List) ScanInOpHinted(t *core.Thread, from, hi int64, start *Node, sStar
 // Size counts the unmarked nodes. Quiescent use only.
 func (l *List) Size(t *core.Thread) int {
 	n := 0
+	l.Live(func(*Node) { n++ })
+	return n
+}
+
+// Live calls f on every unmarked node, in key order. Quiescent use only:
+// nothing is protected. Index layers use it to check that their entries
+// route to live nodes.
+func (l *List) Live(f func(*Node)) {
 	for c := (*Node)(core.Mask(l.head.next.Load())); c != l.tail; {
 		nraw := c.next.Load()
 		if !core.Marked(nraw) {
-			n++
+			f(c)
 		}
 		c = (*Node)(core.Mask(nraw))
 	}
-	return n
 }
 
 func checkKey(key int64) {

@@ -38,7 +38,7 @@
 //
 // # Hint protocol (why a column may be trusted)
 //
-// descendIndex walks the columns to the last column with key < target
+// hintFor descends the columns to the last column with key < target
 // and protects that column's n cell. The column clears n *before* the
 // node is retired (purge runs before Retire under every policy — see
 // hmlist's retire ordering), so a successful Protect on n happened
@@ -57,15 +57,22 @@
 // anywhere is always spliced at index level 0 — and only then releases
 // LINKING. Retirement funnels through hmlist's handoff: whichever side
 // clears its state bit last runs this package's purge hook exactly
-// once. The purge walks index level 0 to find the victim's column by
-// node identity (absent there means the column was never published:
+// once. The purge finds the victim's column by node identity at index
+// level 0 (absent there means the column was never published:
 // unreachable Go garbage, nothing to do), marks every right cell
 // top-down so walkers stop splicing behind it and help unlink it, then
-// unlinks each level and clears n last. Mark-then-unlink on the column
-// cells is what makes a concurrent splice either land before the mark
-// (and be preserved by the unlink CAS, which swings to the masked
-// successor) or fail its CAS and re-walk — a splice is never lost into
-// a dead column.
+// unlinks each level and clears n last. Every search the purge makes is
+// positioned by an index descent (indexPred, the one walker that reads,
+// splices and unlinks all share) to the key's clean predecessor at that
+// level, followed by a forward walk through the key's equal-key columns,
+// so a purge costs expected O(log n) per level rather than a walk of the
+// level from the head. A clean predecessor is still linked at its level
+// — cells are marked before any unlink — and levels stay sorted, so the
+// column, if reachable, lies ahead of it; a lost CAS re-descends.
+// Mark-then-unlink on the column cells is what makes a concurrent splice
+// either land before the mark (and be preserved by the unlink CAS, which
+// swings to the masked successor) or fail its CAS and re-walk — a splice
+// is never lost into a dead column.
 package skiplist
 
 import (
@@ -177,40 +184,6 @@ func (l *List) raiseTop(h int) {
 	}
 }
 
-// descendIndex walks the column spine to the last column with key
-// strictly below target. All loads are plain (GC memory); marked right
-// cells belong to columns being purged and are helped out of the chain
-// when the predecessor's cell is still clean. Returns nil when no
-// column precedes target (walk from the list head).
-func (l *List) descendIndex(key int64) *column {
-	pred := l.headCol
-	for h := l.indexTop() - 1; h >= 0; h-- {
-		for {
-			craw := pred.right[h].Load()
-			c := (*column)(core.Mask(craw))
-			if c.key >= key {
-				break // descend a level
-			}
-			rraw := c.right[h].Load()
-			if core.Marked(rraw) {
-				// c is being purged. Help unlink it if pred's cell is
-				// clean; a marked pred cell means pred is being purged
-				// too — just route through (columns never dangle).
-				if !core.Marked(craw) && pred.right[h].CompareAndSwap(craw, core.Mask(rraw)) {
-					continue
-				}
-				pred = c
-				continue
-			}
-			pred = c
-		}
-	}
-	if pred == l.headCol {
-		return nil
-	}
-	return pred
-}
-
 // hintFor materializes a bottom-layer walk origin for key: descend the
 // index, protect the final column's n cell in slotHint. A nil return
 // (no index progress, cleared n, neutralized protect, or the caller
@@ -219,8 +192,8 @@ func (l *List) hintFor(t *core.Thread, key int64, attempt int) (*hmlist.Node, in
 	if attempt >= maxHintTries {
 		return nil, 0
 	}
-	c := l.descendIndex(key)
-	if c == nil {
+	c, _, _ := l.indexPred(key, 0)
+	if c == l.headCol {
 		return nil, 0
 	}
 	raw, ok := t.Protect(slotHint, &c.n)
@@ -230,39 +203,62 @@ func (l *List) hintFor(t *core.Thread, key int64, attempt int) (*hmlist.Node, in
 	return (*hmlist.Node)(raw), slotHint
 }
 
-// indexPred positions a level-h walk: the last column with key < target
-// whose cell (craw, unmarked) it returns, descending from the current
-// top so the walk is O(log n) rather than a level scan. ok=false means
-// the chosen pred's cell went marked under the probe — retry from the
-// head.
+// indexPred positions a level-lvl walk: the last column with key <
+// target and its level-lvl cell craw, reached by descending from the
+// current top so the walk is O(log n) rather than a level scan. All
+// loads are plain (GC memory); marked cells belong to columns being
+// purged and are helped out of the chain when the predecessor's cell is
+// still clean — a marked predecessor cell means it is being purged too,
+// and the walk routes through it (columns never dangle). ok=false means
+// pred's own cell went marked: pred may already be unlinked at lvl, so
+// writers re-descend. Readers route through it regardless: its n is
+// cleared only after every level is unlinked.
 func (l *List) indexPred(key int64, lvl int) (pred *column, craw unsafe.Pointer, ok bool) {
 	pred = l.headCol
-	top := l.indexTop()
-	if top <= lvl {
-		top = lvl + 1
-	}
-	for h := top - 1; h >= lvl; h-- {
+	for h := max(l.indexTop(), lvl+1) - 1; h >= lvl; h-- {
 		for {
 			craw = pred.right[h].Load()
 			c := (*column)(core.Mask(craw))
 			if c.key >= key {
-				break
+				break // descend a level
 			}
 			rraw := c.right[h].Load()
-			if core.Marked(rraw) {
-				if !core.Marked(craw) && pred.right[h].CompareAndSwap(craw, core.Mask(rraw)) {
-					continue
-				}
-				pred = c
+			if core.Marked(rraw) && !core.Marked(craw) && pred.right[h].CompareAndSwap(craw, core.Mask(rraw)) {
 				continue
 			}
 			pred = c
 		}
 	}
-	if core.Marked(craw) {
-		return nil, nil, false
+	return pred, craw, !core.Marked(craw)
+}
+
+// seek finds the column at level lvl whose n cell holds node — a
+// column's identity, since a node owns at most one: indexPred descends
+// to the key's clean predecessor, then the walk goes forward through the
+// key's equal-key columns, helping marked ones out, and re-descends
+// whenever the chain moves under it (see "Column lifecycle"). It returns
+// the column with its predecessor and that predecessor's clean cell, the
+// CAS witness for unlinking it; c == nil means no such column is
+// reachable at lvl.
+func (l *List) seek(key int64, lvl int, node unsafe.Pointer) (pred *column, craw unsafe.Pointer, c *column) {
+	for {
+		pred, craw, ok := l.indexPred(key, lvl)
+		for ok {
+			s := (*column)(craw)
+			if s.key > key {
+				return nil, nil, nil
+			}
+			if s.n.Load() == node {
+				return pred, craw, s
+			}
+			rraw := s.right[lvl].Load()
+			if !core.Marked(rraw) {
+				pred, craw = s, rraw
+			} else if ok = pred.right[lvl].CompareAndSwap(craw, core.Mask(rraw)); ok {
+				craw = core.Mask(rraw)
+			}
+		}
 	}
-	return pred, craw, true
 }
 
 // linkIndex publishes n's column: height drawn geometric(1/4) (0 = no
@@ -276,7 +272,19 @@ func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
 	if h == 0 {
 		return
 	}
-	c := &column{key: key, right: make([]core.Atomic, h)}
+	var c *column
+	if h == 1 {
+		// Three quarters of columns are height 1: one 48 B object holds
+		// the column and its only cell, instead of 48 B + 8 B.
+		one := &struct {
+			column
+			cell [1]core.Atomic
+		}{column: column{key: key}}
+		one.right = one.cell[:]
+		c = &one.column
+	} else {
+		c = &column{key: key, right: make([]core.Atomic, h)}
+	}
 	c.n.Raw(unsafe.Pointer(n))
 	for lvl := 0; lvl < h; lvl++ {
 		for {
@@ -305,32 +313,10 @@ func (l *List) linkIndex(t *core.Thread, n *hmlist.Node, key int64) {
 // Protect on n that validates must have happened before this clear,
 // hence before the Retire that follows it.
 func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
-	key := victim.Key()
 	// Find the victim's column by node identity at index level 0: splices
 	// go bottom-up, so absence there proves the column was never
 	// published (unreachable Go garbage the GC will sweep).
-	var c *column
-	pred, craw, _ := l.indexPred(key, 0)
-	if pred == nil {
-		// Pred's cell went marked mid-probe; the level-0 scan below
-		// re-walks from wherever the chain is clean.
-		pred = l.headCol
-		craw = pred.right[0].Load()
-	}
-	for {
-		s := (*column)(core.Mask(craw))
-		if s.key > key {
-			break
-		}
-		if s.key == key && s.n.Load() == unsafe.Pointer(victim) {
-			c = s
-			break
-		}
-		// Equal-key columns of older incarnations may precede ours; walk
-		// through them (and anything a racing splice put in between).
-		pred = s
-		craw = pred.right[0].Load()
-	}
+	_, _, c := l.seek(victim.Key(), 0, unsafe.Pointer(victim))
 	if c == nil {
 		return
 	}
@@ -345,8 +331,8 @@ func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
 			}
 		}
 	}
-	// Phase 2: unlink each level. Walkers help, so the walk just retries
-	// until c is no longer reachable at the level.
+	// Phase 2: unlink each level, top-down, each positioned by its own
+	// descent.
 	for lvl := len(c.right) - 1; lvl >= 0; lvl-- {
 		l.unlinkIndexLevel(c, lvl)
 	}
@@ -356,35 +342,16 @@ func (l *List) purgeIndex(t *core.Thread, victim *hmlist.Node) {
 	c.n.Store(nil)
 }
 
-// unlinkIndexLevel removes c (fully marked at lvl) from level lvl.
+// unlinkIndexLevel removes c (marked at every level) from level lvl. c.n
+// still names the victim until phase 3, so seek finds c by it and
+// positions the unlink CAS; a lost CAS re-seeks, and a column seek no
+// longer reaches was helped out by a walker.
 func (l *List) unlinkIndexLevel(c *column, lvl int) {
-retry:
-	pred := l.headCol
 	for {
-		craw := pred.right[lvl].Load()
-		if core.Marked(craw) {
-			// pred is being purged under us: restart from the head (the
-			// head column is never purged).
-			goto retry
+		pred, craw, s := l.seek(c.key, lvl, c.n.Load())
+		if s == nil || pred.right[lvl].CompareAndSwap(craw, core.Mask(c.right[lvl].Load())) {
+			return
 		}
-		s := (*column)(craw)
-		if s.key > c.key {
-			return // c is not reachable at this level
-		}
-		if s == c {
-			if pred.right[lvl].CompareAndSwap(craw, core.Mask(c.right[lvl].Load())) {
-				return
-			}
-			continue // pred's cell changed: re-read
-		}
-		rraw := s.right[lvl].Load()
-		if core.Marked(rraw) {
-			if pred.right[lvl].CompareAndSwap(craw, core.Mask(rraw)) {
-				continue
-			}
-			goto retry
-		}
-		pred = s
 	}
 }
 

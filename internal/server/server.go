@@ -19,13 +19,15 @@ import (
 )
 
 // Config tunes a Server. The zero value listens on a loopback port
-// with the paper's defaults.
+// with default sizing, but reclaims nothing: see Policy.
 type Config struct {
 	// Addr is the TCP listen address (default "127.0.0.1:11311";
 	// ":0" picks a free port — see Server.Addr).
 	Addr string
-	// Policy is the reclamation scheme (default core.EpochPOP: the
-	// paper's headline serving policy).
+	// Policy is the reclamation scheme. withDefaults leaves it alone,
+	// and the zero value is core.NR, the leaky no-reclamation baseline:
+	// callers set it explicitly (popserve and the harness both do;
+	// core.EpochPOP is the paper's headline serving policy).
 	Policy core.Policy
 	// Slots is the connection-admission budget: how many connections
 	// may hold a thread lease at once (default 8). The domain group is
