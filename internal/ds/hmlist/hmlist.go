@@ -8,6 +8,9 @@
 // Nodes are sorted by key between two sentinels. Deletion is two-phase:
 // a CAS sets the mark bit in the victim's next field (logical delete),
 // then a CAS swings the predecessor's next past it (physical unlink).
+// If that unlink CAS loses a race, the operation walks to its key again
+// before it returns (Michael's delete searches after a failed unlink),
+// so a marked node never outlives the operations that touched it.
 // Traversals help unlink marked nodes they encounter, which is what makes
 // every traversal a potential reclaimer interaction — the property that
 // makes this list the paper's most SMR-sensitive benchmark (per-read
@@ -506,6 +509,9 @@ func (l *List) putInOp(t *core.Thread, key int64, val uint64, overwrite bool) (i
 		if out.New != nil && l.linking {
 			l.FinishLinking(t, out.New)
 		}
+		if out.VictimLinked {
+			l.GetInOp(t, key) // the walk to key unlinks and retires the victim
+		}
 		return out.Inserted, out.Old, out.Replaced
 	}
 }
@@ -513,12 +519,17 @@ func (l *List) putInOp(t *core.Thread, key int64, val uint64, overwrite bool) (i
 // PutOutcome is the result of PutInOpHinted. New is the node the call
 // published (insert or replacement), nil if nothing was published; in
 // linking mode the caller owns its LINKING bit and must call
-// FinishLinking once it stops touching it.
+// FinishLinking once it stops touching it. VictimLinked reports that the
+// replaced victim's physical unlink lost its race: the victim is marked
+// but may still be linked, and the caller must walk to key again before
+// the operation ends (as Michael's delete searches after a failed
+// unlink), so no marked node outlives the operations that touched it.
 type PutOutcome struct {
-	Inserted bool
-	Old      uint64
-	Replaced bool
-	New      *Node
+	Inserted     bool
+	Old          uint64
+	Replaced     bool
+	New          *Node
+	VictimLinked bool
 }
 
 // PutInOpHinted is the upsert body resuming at a hinted start node (see
@@ -571,14 +582,14 @@ func (l *List) PutInOpHinted(t *core.Thread, key int64, val uint64, overwrite bo
 				continue
 			}
 			// Linearized: n replaced victim. Physically unlink the victim;
-			// on failure some traversal will help (and resolve the retire).
-			if pos.predCell.CompareAndSwap(unsafe.Pointer(victim), unsafe.Pointer(n)) {
-				t.ExitWritePhase()
+			// on failure the caller's walk to key helps (and resolves the
+			// retire).
+			unlinked := pos.predCell.CompareAndSwap(unsafe.Pointer(victim), unsafe.Pointer(n))
+			t.ExitWritePhase()
+			if unlinked {
 				l.retire(t, victim)
-			} else {
-				t.ExitWritePhase()
 			}
-			return PutOutcome{Old: old, Replaced: true, New: n}, true
+			return PutOutcome{Old: old, Replaced: true, New: n, VictimLinked: !unlinked}, true
 		}
 		if n == nil {
 			n = l.alloc(t, cache, key, val)
@@ -627,8 +638,11 @@ func (l *List) Delete(t *core.Thread, key int64) (uint64, bool) {
 	t.StartOp()
 	defer t.EndOp()
 	for {
-		old, removed, valid := l.DeleteInOpHinted(t, key, nil, 0)
+		old, removed, linked, valid := l.DeleteInOpHinted(t, key, nil, 0)
 		if valid {
+			if linked {
+				l.GetInOp(t, key) // the walk to key unlinks and retires it
+			}
 			return old, removed
 		}
 	}
@@ -636,26 +650,29 @@ func (l *List) Delete(t *core.Thread, key int64) (uint64, bool) {
 
 // DeleteInOpHinted is Delete's body resuming at a hinted start node
 // (see findFrom). valid=false: the hint went stale or the mark CAS lost
-// its race — nothing was removed, re-descend and retry.
-func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart int) (old uint64, removed, valid bool) {
+// its race — nothing was removed, re-descend and retry. linked: the
+// removed node's physical unlink lost its race, so it may still be
+// linked; the caller must walk to key again before the operation ends
+// (see PutOutcome.VictimLinked).
+func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart int) (old uint64, removed, linked, valid bool) {
 	checkKey(key)
 	for {
 		pos, ok, val := l.findFrom(t, key, start, sStart)
 		if !ok || !val {
 			if start != nil {
-				return 0, false, false
+				return 0, false, false, false
 			}
 			continue
 		}
 		if pos.curr == l.tail || pos.curr.key != key {
-			return 0, false, true
+			return 0, false, false, true
 		}
 		// Snapshot before the mark CAS: values are immutable, and after
 		// the retire a neutralized thread must not touch the node.
 		old = pos.curr.val
 		if !t.EnterWritePhase() {
 			if start != nil {
-				return 0, false, false
+				return 0, false, false, false
 			}
 			continue
 		}
@@ -664,19 +681,18 @@ func (l *List) DeleteInOpHinted(t *core.Thread, key int64, start *Node, sStart i
 		if !pos.curr.next.CompareAndSwap(unsafe.Pointer(pos.next), core.WithMark(unsafe.Pointer(pos.next))) {
 			t.ExitWritePhase()
 			if start != nil {
-				return 0, false, false
+				return 0, false, false, false
 			}
 			continue
 		}
-		// Physical unlink; on failure some traversal will help (and
-		// resolve the retire through the same handoff).
-		if pos.predCell.CompareAndSwap(unsafe.Pointer(pos.curr), unsafe.Pointer(pos.next)) {
-			t.ExitWritePhase()
+		// Physical unlink; on failure the caller's walk to key helps (and
+		// resolves the retire through the same handoff).
+		unlinked := pos.predCell.CompareAndSwap(unsafe.Pointer(pos.curr), unsafe.Pointer(pos.next))
+		t.ExitWritePhase()
+		if unlinked {
 			l.retire(t, pos.curr)
-		} else {
-			t.ExitWritePhase()
 		}
-		return old, true, true
+		return old, true, !unlinked, true
 	}
 }
 

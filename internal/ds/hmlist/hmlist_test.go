@@ -2,6 +2,7 @@ package hmlist_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,42 @@ func TestHelpingUnlink(t *testing.T) {
 		want := k%3 != 0
 		if got := l.Contains(th, k); got != want {
 			t.Fatalf("Contains(%d) = %v, want %v", k, got, want)
+		}
+	}
+}
+
+// TestNoVictimOutlivesItsOp overwrites two adjacent keys from two
+// threads, so one overwrite's physical unlink often loses to the other's
+// replace-CAS on its predecessor. Each operation must leave its victim
+// unlinked and retired before it returns: after the threads stop and
+// flush, with no further walk, every outstanding node is a live key.
+func TestNoVictimOutlivesItsOp(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		d := core.NewDomain(core.EBR, 2, &core.Options{ReclaimThreshold: 16})
+		l := hmlist.New(d)
+		th := []*core.Thread{d.RegisterThread(), d.RegisterThread()}
+		l.Put(th[0], 1, 0)
+		l.Put(th[0], 2, 0)
+		var wg sync.WaitGroup
+		for w := range th {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if w == 0 || i%2 == 0 {
+						l.Put(th[w], int64(w+1), uint64(i))
+					} else {
+						l.Delete(th[w], int64(w+1)) // the delete path's unlink too
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, x := range th {
+			x.Flush()
+		}
+		if out, size := l.Outstanding(), int64(l.Size(th[0])); out != size {
+			t.Fatalf("round %d: Outstanding = %d, Size = %d: a marked victim stayed linked", round, out, size)
 		}
 	}
 }

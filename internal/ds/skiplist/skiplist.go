@@ -417,6 +417,9 @@ func (l *List) putInOp(t *core.Thread, key int64, val uint64, overwrite bool) (i
 			l.linkIndex(t, out.New, key)
 			l.b.FinishLinking(t, out.New)
 		}
+		if out.VictimLinked {
+			l.getInOp(t, key) // the walk to key unlinks and retires the victim
+		}
 		return out.Inserted, out.Old, out.Replaced
 	}
 }
@@ -442,8 +445,11 @@ func (l *List) Delete(t *core.Thread, key int64) (uint64, bool) {
 	defer t.EndOp()
 	for attempt := 0; ; attempt++ {
 		start, s := l.hintFor(t, key, attempt)
-		old, removed, valid := l.b.DeleteInOpHinted(t, key, start, s)
+		old, removed, linked, valid := l.b.DeleteInOpHinted(t, key, start, s)
 		if valid {
+			if linked {
+				l.getInOp(t, key) // the walk to key unlinks and retires it
+			}
 			return old, removed
 		}
 	}

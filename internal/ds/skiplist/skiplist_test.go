@@ -1,6 +1,7 @@
 package skiplist_test
 
 import (
+	"sync"
 	"testing"
 
 	"pop/internal/core"
@@ -57,5 +58,41 @@ func TestTowerHeightsReasonable(t *testing.T) {
 	// height >= 2; the range scan must still see every key.
 	if got := l.RangeCount(th, 0, 4095); got != 4096 {
 		t.Fatalf("RangeCount over all = %d, want 4096", got)
+	}
+}
+
+// TestNoVictimOutlivesItsOp is hmlist's test of the same name through
+// the index: below the two contended keys sit enough keys for columns,
+// so the overwrites and deletes take hinted walks. Each operation must
+// leave its victim unlinked and retired before it returns.
+func TestNoVictimOutlivesItsOp(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		d := core.NewDomain(core.EBR, 2, &core.Options{ReclaimThreshold: 16})
+		l := skiplist.New(d)
+		th := []*core.Thread{d.RegisterThread(), d.RegisterThread()}
+		for k := int64(0); k < 66; k++ {
+			l.Put(th[0], k, 0)
+		}
+		var wg sync.WaitGroup
+		for w := range th {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if w == 0 || i%2 == 0 {
+						l.Put(th[w], int64(64+w), uint64(i))
+					} else {
+						l.Delete(th[w], int64(64+w))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, x := range th {
+			x.Flush()
+		}
+		if out, size := l.Outstanding(), int64(l.Size(th[0])); out != size {
+			t.Fatalf("round %d: Outstanding = %d, Size = %d: a marked victim stayed linked", round, out, size)
+		}
 	}
 }
